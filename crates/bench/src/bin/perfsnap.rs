@@ -54,10 +54,10 @@ struct Run {
     /// Stage-2 phase split (schema 3; schema 5 splits the window
     /// statistics out of classification): the incremental dot-advance,
     /// the per-window means/stds, the per-row classification + top-k
-    /// selection, and the MASS/STOMP recomputation fallback. The advance
-    /// and classification phases are the two the pipelined stage 2
-    /// overlaps, so their sum against `stage2_secs` is what makes the
-    /// overlap win (or any regression) visible per snapshot.
+    /// selection, and the MASS/STOMP recomputation fallback. The phases
+    /// run one after another, so they sum to `stage2_secs` up to the
+    /// per-step bookkeeping, and each phase's share shows where a
+    /// snapshot's stage-2 time went.
     stage2_advance_secs: f64,
     stage2_stats_secs: f64,
     stage2_classify_secs: f64,

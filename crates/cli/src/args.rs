@@ -39,9 +39,6 @@ pub struct RunArgs {
     pub p: usize,
     /// Worker threads (defaults to the hardware parallelism).
     pub threads: Option<usize>,
-    /// Disable the stage-2 software pipeline (results are identical; this
-    /// is a measurement/debugging knob).
-    pub no_pipeline: bool,
     /// Optional path for a VALMAP JSON dump.
     pub valmap_out: Option<String>,
     /// Quality tier: `exact` (default), `anytime[:budget]` (improving
@@ -210,7 +207,7 @@ pub const USAGE: &str = "\
 valmod — variable-length motif discovery (VALMOD, SIGMOD 2018)
 
 USAGE:
-  valmod run --input FILE --lmin N --lmax N [--k N] [--p N] [--threads N] [--no-pipeline]
+  valmod run --input FILE --lmin N --lmax N [--k N] [--p N] [--threads N]
              [--quality exact|anytime[:N]|screen] [--seed N]
              [--valmap-out FILE] [--metrics PATH|-] [--trace-out FILE]
   valmod profile --input FILE --length N [--k N] [--threads N] [--quality exact]
@@ -304,7 +301,6 @@ pub fn parse(args: &[&str]) -> Result<Command, ParseError> {
 fn parse_run(rest: &[&str]) -> Result<Command, ParseError> {
     let (mut input, mut l_min, mut l_max) = (None, None, None);
     let (mut k, mut p, mut threads, mut valmap_out) = (10usize, 8usize, None, None);
-    let mut no_pipeline = false;
     let (mut quality, mut seed) = (Quality::Exact, 0u64);
     let (mut metrics, mut trace_out) = (None, None);
     let mut it = rest.iter().copied();
@@ -316,7 +312,6 @@ fn parse_run(rest: &[&str]) -> Result<Command, ParseError> {
             "--k" => k = parse_num(flag, take_value(flag, &mut it)?)?,
             "--p" => p = parse_num(flag, take_value(flag, &mut it)?)?,
             "--threads" => threads = Some(parse_num(flag, take_value(flag, &mut it)?)?),
-            "--no-pipeline" => no_pipeline = true,
             "--quality" => {
                 quality = parse_quality(take_value(flag, &mut it)?).map_err(ParseError)?
             }
@@ -334,7 +329,6 @@ fn parse_run(rest: &[&str]) -> Result<Command, ParseError> {
         k,
         p,
         threads,
-        no_pipeline,
         valmap_out,
         quality,
         seed,
@@ -574,14 +568,7 @@ mod tests {
                 assert_eq!((a.l_min, a.l_max, a.k, a.p), (50, 400, 10, 8));
                 assert!(a.valmap_out.is_none());
                 assert!(a.threads.is_none());
-                assert!(!a.no_pipeline, "the pipeline defaults to on");
             }
-            other => panic!("{other:?}"),
-        }
-        let cmd = parse(&["run", "--input", "x", "--lmin", "8", "--lmax", "16", "--no-pipeline"])
-            .unwrap();
-        match cmd {
-            Command::Run(a) => assert!(a.no_pipeline),
             other => panic!("{other:?}"),
         }
         let cmd = parse(&[

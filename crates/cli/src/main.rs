@@ -109,7 +109,6 @@ fn cmd_run(a: &RunArgs) -> Result<(), Box<dyn std::error::Error>> {
     let mut query = Query::new(a.l_min, a.l_max)
         .k(a.k)
         .profile_size(a.p)
-        .pipeline(!a.no_pipeline)
         .quality(a.quality)
         .seed(a.seed)
         .pool(Arc::new(WorkerPool::new()));

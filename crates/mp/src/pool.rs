@@ -18,12 +18,8 @@
 //! queue and then the *submitting thread helps drain the queue* until its
 //! own batch completes (it may execute jobs of concurrent batches while
 //! its own jobs are in flight, but stops helping once its batch is done).
-//! [`PoolScope::submit`] is the non-blocking variant: it enqueues a batch
-//! and returns a waitable [`BatchHandle`] immediately, so one thread can
-//! keep two batches in flight on the same pool — the software-pipelining
-//! primitive behind VALMOD's overlapped stage 2 (the dot-product advance
-//! of length ℓ+1 runs while length ℓ classifies).
-//! Two consequences:
+//! Every batch blocks its submitter: `run` returns only once all of its
+//! jobs have finished. Two consequences of the helping submitter:
 //!
 //! * the pool can never deadlock, even when a batch asks for more workers
 //!   than there are pool threads (the caller executes the surplus), and
@@ -463,7 +459,22 @@ impl WorkerPool {
         // queued jobs can only leave the queue by being executed, so an
         // empty queue means they are all running or done — waiting is
         // then deadlock-free.
-        if let Some(payload) = self.help_until(&latch) {
+        while !latch.is_done() {
+            let job = {
+                let mut queue = self.shared.queue.lock().expect("pool queue poisoned");
+                queue.next_job()
+            };
+            let Some(job) = job else { break };
+            // A job drained by the submitter rather than a pool thread is
+            // the helping-submitter steal the module docs describe.
+            obs::metrics().pool_queue_depth.add(-1);
+            obs::count!(pool_steals, 1);
+            // SAFETY: every queued job's batch is kept alive by its own
+            // submitter blocking exactly as we do here until the job's
+            // latch counts down.
+            unsafe { job.execute() }
+        }
+        if let Some(payload) = latch.join() {
             std::panic::resume_unwind(payload);
         }
 
@@ -472,77 +483,6 @@ impl WorkerPool {
             .into_iter()
             .map(|slot| slot.into_inner().expect("every worker index ran exactly once"))
             .collect()
-    }
-
-    /// Opens a submission scope on this pool: inside `f`, batches can be
-    /// submitted *without blocking* via [`PoolScope::submit`] and waited
-    /// via the returned [`BatchHandle`]s, concurrently with ordinary
-    /// blocking [`WorkerPool::run`]/[`WorkerPool::for_each_mut`] batches on
-    /// the same pool.
-    ///
-    /// The scope is what makes the non-blocking API sound with
-    /// stack-borrowed jobs: every batch submitted inside `f` is guaranteed
-    /// to have finished when `scope` returns — normally because its handle
-    /// was waited or dropped, and otherwise (a handle leaked with
-    /// `mem::forget`, or `f` unwinding past unwaited handles) because the
-    /// scope itself drains the leftover latches before returning, exactly
-    /// like [`std::thread::scope`] joins its spawned threads. A leaked
-    /// handle leaks its heap-pinned batch context (so in-flight jobs never
-    /// dangle), never its borrows.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises the first worker panic of any batch that was neither
-    /// waited nor dropped inside `f` (waited/dropped handles re-raise at
-    /// their own site), after `f`'s own panic if both happen.
-    pub fn scope<'env, T>(&self, f: impl for<'p> FnOnce(&PoolScope<'p, 'env>) -> T) -> T {
-        let scope = PoolScope {
-            pool: self,
-            pending: Mutex::new(Vec::new()),
-            env: PhantomData,
-            scope: PhantomData,
-        };
-        let result = std::panic::catch_unwind(AssertUnwindSafe(|| f(&scope)));
-        // Every batch submitted in this scope must complete before the
-        // borrowed environment can die with this frame.
-        let leftover = scope.drain_pending();
-        match result {
-            Err(panic) => std::panic::resume_unwind(panic),
-            Ok(value) => {
-                if let Some(panic) = leftover {
-                    std::panic::resume_unwind(panic);
-                }
-                value
-            }
-        }
-    }
-
-    /// The help-then-join loop shared by every waiter of a batch `latch`:
-    /// drain queued jobs (our own, or concurrent batches' while ours is in
-    /// flight) until the latch completes, then block on it. Returns the
-    /// batch's first panic payload, if any.
-    fn help_until(&self, latch: &Latch) -> Option<Box<dyn Any + Send>> {
-        while !latch.is_done() {
-            let job = {
-                let mut queue = self.shared.queue.lock().expect("pool queue poisoned");
-                queue.next_job()
-            };
-            match job {
-                // SAFETY: every queued job's batch is kept alive by its own
-                // submitter (or submitting scope) blocking exactly as we do
-                // here until the job's latch counts down.
-                Some(job) => {
-                    // A job drained by a *waiter* rather than a pool thread
-                    // is the helping-submitter steal the module docs
-                    // describe.
-                    obs::metrics().pool_queue_depth.add(-1);
-                    obs::count!(pool_steals, 1);
-                    unsafe { job.execute() }
-                }
-                None => break,
-            }
-        }
-        latch.join()
     }
 
     /// Splits `out` into `workers` contiguous chunks and fills every
@@ -728,11 +668,11 @@ impl std::fmt::Debug for LaneHandle {
 
 impl LaneHandle {
     /// Routes every batch the current thread submits (via
-    /// [`WorkerPool::run`], [`WorkerPool::for_each_mut`] or
-    /// [`PoolScope::submit`]) into this lane until the guard drops —
-    /// including batches submitted by library code that has never heard
-    /// of lanes, which is the point: a tenant front-end enters its lane
-    /// once and the whole engine underneath inherits the routing.
+    /// [`WorkerPool::run`] or [`WorkerPool::for_each_mut`]) into this
+    /// lane until the guard drops — including batches submitted by
+    /// library code that has never heard of lanes, which is the point: a
+    /// tenant front-end enters its lane once and the whole engine
+    /// underneath inherits the routing.
     ///
     /// Guards nest (the previous lane is restored on drop) and are
     /// per-thread; entering a lane on one thread never affects another.
@@ -833,203 +773,6 @@ impl std::fmt::Display for LaneSaturated {
 }
 
 impl std::error::Error for LaneSaturated {}
-
-/// A submission scope opened by [`WorkerPool::scope`]. Lives on the
-/// opening thread's stack; [`PoolScope::submit`] enqueues batches without
-/// blocking and the scope guarantees they all finish before `scope`
-/// returns. The two lifetimes mirror [`std::thread::Scope`]: `'p` is the
-/// scope itself, `'env` the borrowed environment jobs may capture
-/// (invariant, so a submitted closure can never smuggle in a shorter
-/// borrow than the scope will wait for).
-pub struct PoolScope<'p, 'env: 'p> {
-    pool: &'p WorkerPool,
-    /// Latches of every batch submitted in this scope, drained at scope
-    /// exit so leaked/unwaited handles still complete before `'env` dies.
-    pending: Mutex<Vec<Arc<Latch>>>,
-    scope: PhantomData<&'p mut &'p ()>,
-    env: PhantomData<&'env mut &'env ()>,
-}
-
-impl<'p, 'env> PoolScope<'p, 'env> {
-    /// Enqueues `worker(0) .. worker(num_workers − 1)` on the pool and
-    /// returns immediately with a waitable [`BatchHandle`] — the
-    /// non-blocking counterpart of [`WorkerPool::run`]. The submitting
-    /// thread runs *none* of the jobs at submit time (that is the point:
-    /// it is free to run a different batch, or direct work, concurrently);
-    /// it helps drain the queue once it waits on the handle.
-    ///
-    /// Results are collected per worker index exactly as in
-    /// [`WorkerPool::run`], so a submitted batch returns byte-identical
-    /// results to a blocking run of the same worker function — which pool
-    /// thread executes a job is invisible.
-    pub fn submit<R, F>(&self, num_workers: usize, worker: F) -> BatchHandle<'p, R>
-    where
-        R: Send + 'env,
-        F: Fn(usize) -> R + Sync + 'env,
-    {
-        let num_workers = num_workers.max(1);
-        // All jobs go to the pool; without `+ 1` the submitter could find
-        // every pool thread busy with its *other* (blocking) batch.
-        self.pool.ensure_threads(num_workers);
-
-        let ctx = Box::new(SubmitCtx {
-            worker,
-            slots: (0..num_workers).map(|_| UnsafeCell::new(None)).collect::<Vec<_>>(),
-        });
-        let state = Box::new(BatchState {
-            call: submit_trampoline::<R, F>,
-            ctx: std::ptr::from_ref::<SubmitCtx<R, F>>(&ctx).cast(),
-        });
-        let latch = Latch::new(num_workers);
-        let route = self.pool.current_lane();
-        {
-            let mut queue = self.pool.shared.queue.lock().expect("pool queue poisoned");
-            for index in 0..num_workers {
-                queue.push_routed(
-                    route,
-                    Job {
-                        batch: std::ptr::from_ref::<BatchState>(&state),
-                        latch: Arc::clone(&latch),
-                        index,
-                    },
-                );
-            }
-        }
-        if route.is_some() {
-            obs::count!(pool_lane_submits, num_workers as u64);
-        }
-        obs::count!(pool_submits, num_workers as u64);
-        obs::metrics().pool_queue_depth.add(num_workers as i64);
-        self.pool.shared.work_ready.notify_all();
-        self.pending.lock().expect("scope registry poisoned").push(Arc::clone(&latch));
-        BatchHandle { pool: self.pool, latch, _state: state, ctx, done: false }
-    }
-
-    /// Joins every batch submitted in this scope whose handle did not
-    /// already join it (leaked or dropped-during-unwind handles), helping
-    /// drain the queue so completion never depends on pool-thread count.
-    /// Returns the first unclaimed panic payload.
-    fn drain_pending(&self) -> Option<Box<dyn Any + Send>> {
-        let latches = std::mem::take(&mut *self.pending.lock().expect("scope registry poisoned"));
-        let mut first_panic = None;
-        for latch in latches {
-            let panic = self.pool.help_until(&latch);
-            if first_panic.is_none() {
-                first_panic = panic;
-            }
-        }
-        first_panic
-    }
-}
-
-/// The typed context of one submitted batch: the worker closure plus one
-/// result slot per worker index, heap-pinned for the batch duration by the
-/// owning [`BatchHandle`] (or leaked with it — never freed early).
-struct SubmitCtx<R, F> {
-    worker: F,
-    slots: Vec<UnsafeCell<Option<R>>>,
-}
-
-// SAFETY: jobs on several pool threads share the context; the closure is
-// `Sync` by bound, and each worker index writes only its own slot.
-unsafe impl<R: Send, F: Sync> Sync for SubmitCtx<R, F> {}
-
-/// Typed view a [`BatchHandle`] keeps of its context once `R` is all it
-/// needs to know (the worker type is erased behind the box).
-trait ResultSlots<R> {
-    /// Drains the filled slots in worker-index order. Callable only after
-    /// the batch latch reached zero.
-    fn take_results(&mut self) -> Vec<R>;
-}
-
-impl<R: Send, F> ResultSlots<R> for SubmitCtx<R, F> {
-    fn take_results(&mut self) -> Vec<R> {
-        std::mem::take(&mut self.slots)
-            .into_iter()
-            .map(|slot| slot.into_inner().expect("every worker index ran exactly once"))
-            .collect()
-    }
-}
-
-/// The typed trampoline a submitted batch's [`BatchState`] points at.
-///
-/// # Safety
-///
-/// `ctx` must point at a live `SubmitCtx<R, F>` with at least `index + 1`
-/// slots whose `index` slot is not accessed concurrently — guaranteed by
-/// the handle/scope keeping the context boxed until the latch is drained,
-/// and by worker indices being unique per batch.
-unsafe fn submit_trampoline<R: Send, F: Fn(usize) -> R + Sync>(ctx: *const (), index: usize) {
-    // SAFETY: forwarded precondition.
-    let ctx = unsafe { &*ctx.cast::<SubmitCtx<R, F>>() };
-    let result = (ctx.worker)(index);
-    // SAFETY: slot `index` is written by exactly this job.
-    unsafe { *ctx.slots[index].get() = Some(result) };
-}
-
-/// A batch in flight, returned by [`PoolScope::submit`]. Waitable
-/// ([`BatchHandle::wait`] helps drain the pool queue, joins the batch's
-/// latch, and returns the results in worker order); dropping the handle
-/// joins the batch without collecting results. The handle owns the
-/// heap-pinned batch state the queued jobs point into, which is why
-/// leaking it leaks memory but never dangles a job.
-pub struct BatchHandle<'p, R: Send> {
-    pool: &'p WorkerPool,
-    latch: Arc<Latch>,
-    /// Keeps the type-erased batch descriptor the queued `Job`s point at
-    /// alive (and address-stable) until the latch confirms completion.
-    _state: Box<BatchState>,
-    ctx: Box<dyn ResultSlots<R> + 'p>,
-    done: bool,
-}
-
-impl<R: Send> std::fmt::Debug for BatchHandle<'_, R> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BatchHandle").field("complete", &self.latch.is_done()).finish()
-    }
-}
-
-impl<R: Send> BatchHandle<'_, R> {
-    /// Whether every job of the batch has already finished (non-blocking).
-    #[must_use]
-    pub fn is_complete(&self) -> bool {
-        self.latch.is_done()
-    }
-
-    /// Blocks until the batch completes — helping drain the pool queue,
-    /// exactly like a blocking [`WorkerPool::run`] would from this point —
-    /// and returns the results in worker-index order.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises the first worker panic's original payload, as
-    /// [`WorkerPool::run`] does.
-    pub fn wait(mut self) -> Vec<R> {
-        let panic = self.pool.help_until(&self.latch);
-        self.done = true;
-        if let Some(payload) = panic {
-            std::panic::resume_unwind(payload);
-        }
-        self.ctx.take_results()
-    }
-}
-
-impl<R: Send> Drop for BatchHandle<'_, R> {
-    fn drop(&mut self) {
-        if self.done {
-            return;
-        }
-        // An abandoned handle still joins its batch (the jobs borrow the
-        // environment), and a worker panic must not vanish silently — it
-        // re-raises here unless this drop is itself part of an unwind.
-        let panic = self.pool.help_until(&self.latch);
-        if let Some(payload) = panic {
-            if !std::thread::panicking() {
-                std::panic::resume_unwind(payload);
-            }
-        }
-    }
-}
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
@@ -1169,111 +912,6 @@ mod tests {
                         assert_eq!(got, vec![base, base + 1, base + 2]);
                     }
                 });
-            }
-        });
-    }
-
-    #[test]
-    fn submitted_batch_matches_blocking_run() {
-        let pool = WorkerPool::new();
-        let work = |w: usize| -> u64 { (0..5_000u64).map(|x| x.rotate_left(w as u32)).sum() };
-        for workers in [1usize, 2, 3, 8, 19] {
-            let blocking = pool.run(workers, work);
-            let submitted = pool.scope(|s| s.submit(workers, work).wait());
-            assert_eq!(blocking, submitted, "at {workers} workers");
-        }
-    }
-
-    #[test]
-    fn two_batches_overlap_on_one_pool() {
-        // The pipelining contract: a submitted batch makes progress while
-        // the submitter runs a *blocking* batch on the same pool, and both
-        // come back correct. The submitted batch blocks on a channel the
-        // blocking batch releases, so completion proves true concurrency
-        // (a deferred-until-wait execution would deadlock here, which the
-        // timeout turns into a failure).
-        let pool = WorkerPool::new();
-        let (tx, rx) = std::sync::mpsc::channel::<()>();
-        let rx = Mutex::new(rx);
-        pool.scope(|s| {
-            let handle = s.submit(1, |_| {
-                rx.lock().unwrap().recv_timeout(std::time::Duration::from_secs(10)).is_ok()
-            });
-            let blocking = pool.run(2, |w| {
-                if w == 0 {
-                    tx.send(()).unwrap();
-                }
-                w * 3
-            });
-            assert_eq!(blocking, vec![0, 3]);
-            assert_eq!(handle.wait(), vec![true]);
-        });
-    }
-
-    #[test]
-    fn dropped_handle_joins_its_batch() {
-        let pool = WorkerPool::new();
-        let ran = std::sync::atomic::AtomicUsize::new(0);
-        pool.scope(|s| {
-            let _ = s.submit(5, |_| {
-                ran.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            });
-            // Handle dropped here without wait(); drop must join.
-        });
-        assert_eq!(ran.load(std::sync::atomic::Ordering::Relaxed), 5);
-    }
-
-    #[test]
-    fn leaked_handle_is_drained_by_the_scope() {
-        // `mem::forget` on the handle must not let jobs outlive the scope
-        // (they borrow `ran` from this frame): the scope's exit drain picks
-        // the latch up. The leaked batch context is the price — memory, not
-        // soundness.
-        let pool = WorkerPool::new();
-        let ran = std::sync::atomic::AtomicUsize::new(0);
-        pool.scope(|s| {
-            let handle = s.submit(4, |_| {
-                std::thread::sleep(std::time::Duration::from_millis(5));
-                ran.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            });
-            std::mem::forget(handle);
-        });
-        assert_eq!(ran.load(std::sync::atomic::Ordering::Relaxed), 4);
-    }
-
-    #[test]
-    fn submitted_batch_panics_propagate_at_wait() {
-        let pool = WorkerPool::new();
-        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.scope(|s| {
-                let handle = s.submit(3, |w| {
-                    assert!(w != 1, "submitted worker 1 exploding");
-                    w
-                });
-                handle.wait()
-            })
-        }));
-        let payload = outcome.expect_err("panic must reach the waiter");
-        let msg = payload
-            .downcast_ref::<String>()
-            .map(String::as_str)
-            .or_else(|| payload.downcast_ref::<&str>().copied())
-            .unwrap_or("<non-string payload>");
-        assert!(msg.contains("submitted worker 1 exploding"), "payload was: {msg}");
-        // The pool survives for the next batch.
-        assert_eq!(pool.run(2, |w| w), vec![0, 1]);
-    }
-
-    #[test]
-    fn many_interleaved_submissions_stay_ordered() {
-        // Several batches in flight at once on one pool, waited out of
-        // submission order — results must still come back per batch in
-        // worker-index order.
-        let pool = WorkerPool::new();
-        pool.scope(|s| {
-            let handles: Vec<_> = (0..6usize).map(|b| s.submit(3, move |w| b * 100 + w)).collect();
-            for (b, handle) in handles.into_iter().enumerate().rev() {
-                assert_eq!(handle.wait(), vec![b * 100, b * 100 + 1, b * 100 + 2]);
             }
         });
     }

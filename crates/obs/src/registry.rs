@@ -425,7 +425,7 @@ static DESCRIPTORS: &[Desc] = &[
         Pool,
         Count,
         pool_submits,
-        "Jobs pushed to the worker pool (blocking runs and pipelined batches)"
+        "Jobs pushed to the worker pool queue by multi-worker batches"
     ),
     desc!(
         "valmod_pool_queue_depth",

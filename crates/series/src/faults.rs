@@ -9,11 +9,16 @@
 //! fails, with what error, and whether a write is torn short first.
 //!
 //! Arming follows the same precedence style as `valmod_fft`'s
-//! `override_simd`: an in-process RAII guard ([`arm`], serialized across
-//! threads by holding a lock for the guard's lifetime), or the
+//! `override_simd`: an in-process RAII guard ([`arm`]), or the
 //! `VALMOD_FAULT` environment variable (`site:after:times:kind`, parsed
 //! once per process — the cross-process knob for CLI integration tests).
-//! With neither armed, every site is a single relaxed atomic load.
+//! A guard's plan belongs to the thread that armed it: only that
+//! thread's operations count against it or fail, and on that thread it
+//! takes precedence over the env plan. Tests that arm plans can therefore
+//! run in parallel with tests doing real I/O through the same sites. The
+//! env plan is process-wide, one counter shared by every thread. With
+//! neither armed, a site reads one thread-local and one initialized
+//! `OnceLock`.
 //!
 //! The same guard doubles as the *enumerator* for kill-at-every-point
 //! tests: arm a plan whose `after` is `u64::MAX` (it never fires), run
@@ -25,9 +30,10 @@
 
 #![doc(hidden)]
 
+use std::cell::RefCell;
 use std::io;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+use std::marker::PhantomData;
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// What happens when the planned operation count is reached.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,68 +91,93 @@ impl FaultPlan {
     }
 }
 
-/// Whether any plan (guard or env) may be active — the fast-path gate
-/// every instrumented site reads first.
-static ARMED: AtomicBool = AtomicBool::new(false);
+thread_local! {
+    /// The plan of the innermost live [`FaultGuard`] armed on this thread.
+    static THREAD_PLAN: RefCell<Option<PlanState>> = const { RefCell::new(None) };
+}
 
-/// The active plan and its match counter.
-static STATE: Mutex<Option<PlanState>> = Mutex::new(None);
-
-/// Serializes armed sections across test threads, like
-/// `SimdOverrideGuard` does for dispatch overrides.
-static ARM_LOCK: Mutex<()> = Mutex::new(());
-
+/// An armed plan and its match counter.
 #[derive(Debug)]
 struct PlanState {
     plan: FaultPlan,
     seen: u64,
 }
 
-/// Keeps the installed plan alive; restores the previous state (usually
-/// "nothing armed") on drop. [`FaultGuard::hits`] reads the number of
-/// matching operations observed so far.
+/// What the active plan decided for one operation at `site`.
+enum Decision {
+    Pass,
+    Fail(io::ErrorKind),
+    Clip(usize),
+}
+
+impl PlanState {
+    /// Counts one operation at `site` against the plan, if the site
+    /// matches, and decides its fate.
+    fn decide(&mut self, site: &str) -> Decision {
+        if let Some(prefix) = &self.plan.site {
+            if !site.starts_with(prefix.as_str()) {
+                return Decision::Pass;
+            }
+        }
+        let index = self.seen;
+        self.seen += 1;
+        let fired = index >= self.plan.after && index - self.plan.after < self.plan.times;
+        if !fired {
+            return Decision::Pass;
+        }
+        match self.plan.kind {
+            FaultKind::Err(kind) => Decision::Fail(kind),
+            // Only the first triggered operation is torn; everything later
+            // is dead (the crash that followed the torn write).
+            FaultKind::ShortWrite(n) if index == self.plan.after => Decision::Clip(n),
+            FaultKind::ShortWrite(_) => Decision::Fail(io::ErrorKind::Other),
+        }
+    }
+}
+
+/// Keeps a plan armed on the thread that called [`arm`] and restores
+/// that thread's previous plan (usually none) on drop, so guards nest.
+/// [`FaultGuard::hits`] reads the number of matching operations observed
+/// so far. Not `Send`: the plan lives in the arming thread's
+/// thread-local state, so the guard must be dropped there.
 #[derive(Debug)]
 pub struct FaultGuard {
-    _lock: MutexGuard<'static, ()>,
+    prev: Option<PlanState>,
+    _arming_thread: PhantomData<*const ()>,
 }
 
 impl FaultGuard {
-    /// Matching operations observed since arming.
+    /// Matching operations this thread ran since arming.
     #[must_use]
     pub fn hits(&self) -> u64 {
-        lock_state().as_ref().map_or(0, |s| s.seen)
+        THREAD_PLAN.with(|plan| plan.borrow().as_ref().map_or(0, |s| s.seen))
     }
 }
 
 impl Drop for FaultGuard {
     fn drop(&mut self) {
-        *lock_state() = env_plan().clone().map(|plan| PlanState { plan, seen: 0 });
-        ARMED.store(env_plan().is_some(), Ordering::SeqCst);
+        let prev = self.prev.take();
+        THREAD_PLAN.with(|plan| *plan.borrow_mut() = prev);
     }
 }
 
-fn lock_state() -> MutexGuard<'static, Option<PlanState>> {
-    STATE.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Installs `plan` for the guard's lifetime. Guards are exclusive: a
-/// second `arm` on another thread blocks until the first is dropped.
+/// Installs `plan` on the calling thread for the guard's lifetime. Other
+/// threads neither count against it nor fail by it.
 #[must_use]
 pub fn arm(plan: FaultPlan) -> FaultGuard {
-    let lock = ARM_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-    *lock_state() = Some(PlanState { plan, seen: 0 });
-    ARMED.store(true, Ordering::SeqCst);
-    FaultGuard { _lock: lock }
+    let prev = THREAD_PLAN.with(|p| p.borrow_mut().replace(PlanState { plan, seen: 0 }));
+    FaultGuard { prev, _arming_thread: PhantomData }
 }
 
-/// The `VALMOD_FAULT` plan, parsed once per process.
+/// The `VALMOD_FAULT` plan with its process-wide match counter, parsed
+/// once per process (`None` when the variable is unset or malformed).
 ///
 /// Format: `site:after:times:kind` where `site` is a site-name prefix
 /// (`*` = any), `times` may be `inf`, and `kind` is `err-<name>`
 /// (`interrupted`, `wouldblock`, `timedout`, `notfound`, `other`) or
 /// `short-<bytes>`. Example: `VALMOD_FAULT=ckpt.write:2:inf:err-other`.
-fn env_plan() -> &'static Option<FaultPlan> {
-    static PLAN: OnceLock<Option<FaultPlan>> = OnceLock::new();
+fn env_plan() -> Option<&'static Mutex<PlanState>> {
+    static PLAN: OnceLock<Option<Mutex<PlanState>>> = OnceLock::new();
     PLAN.get_or_init(|| {
         let raw = std::env::var("VALMOD_FAULT").ok()?;
         let mut parts = raw.splitn(4, ':');
@@ -170,53 +201,18 @@ fn env_plan() -> &'static Option<FaultPlan> {
                 FaultKind::ShortWrite(n)
             }
         };
-        Some(FaultPlan { site, after, times, kind })
+        Some(Mutex::new(PlanState { plan: FaultPlan { site, after, times, kind }, seen: 0 }))
     })
+    .as_ref()
 }
 
-/// Lazily installs the env plan (first instrumented operation of the
-/// process) so `VALMOD_FAULT` works without any in-process arming.
-fn ensure_env_installed() {
-    static INSTALLED: OnceLock<()> = OnceLock::new();
-    INSTALLED.get_or_init(|| {
-        if let Some(plan) = env_plan().clone() {
-            *lock_state() = Some(PlanState { plan, seen: 0 });
-            ARMED.store(true, Ordering::SeqCst);
-        }
-    });
-}
-
-/// What the active plan decided for one operation at `site`.
-enum Decision {
-    Pass,
-    Fail(io::ErrorKind),
-    Clip(usize),
-}
-
+/// The calling thread's armed plan decides, else the env plan.
 fn decide(site: &str) -> Decision {
-    ensure_env_installed();
-    if !ARMED.load(Ordering::Relaxed) {
-        return Decision::Pass;
-    }
-    let mut state = lock_state();
-    let Some(s) = state.as_mut() else { return Decision::Pass };
-    if let Some(prefix) = &s.plan.site {
-        if !site.starts_with(prefix.as_str()) {
-            return Decision::Pass;
-        }
-    }
-    let index = s.seen;
-    s.seen += 1;
-    let fired = index >= s.plan.after && index - s.plan.after < s.plan.times;
-    if !fired {
-        return Decision::Pass;
-    }
-    match s.plan.kind {
-        FaultKind::Err(kind) => Decision::Fail(kind),
-        // Only the first triggered operation is torn; everything later
-        // is dead (the crash that followed the torn write).
-        FaultKind::ShortWrite(n) if index == s.plan.after => Decision::Clip(n),
-        FaultKind::ShortWrite(_) => Decision::Fail(io::ErrorKind::Other),
+    let armed = THREAD_PLAN.with(|plan| plan.borrow_mut().as_mut().map(|s| s.decide(site)));
+    match (armed, env_plan()) {
+        (Some(decision), _) => decision,
+        (None, Some(env)) => env.lock().unwrap_or_else(PoisonError::into_inner).decide(site),
+        (None, None) => Decision::Pass,
     }
 }
 
@@ -341,6 +337,30 @@ mod tests {
         }
         assert!(check("ckpt.write").is_ok());
         assert_eq!(g.hits(), 5);
+    }
+
+    #[test]
+    fn plans_apply_only_to_the_arming_thread() {
+        let g = arm(FaultPlan::crash_at(None, 0));
+        std::thread::spawn(|| {
+            assert!(check("ckpt.sync").is_ok(), "another thread's operation failed");
+            let mut out = Vec::new();
+            write_all(&mut out, "journal.write", b"x").unwrap();
+            assert_eq!(out, b"x");
+        })
+        .join()
+        .unwrap();
+        assert_eq!(g.hits(), 0, "another thread's operations were counted");
+        assert!(check("ckpt.sync").is_err(), "the arming thread's plan still fires");
+        assert_eq!(g.hits(), 1);
+        {
+            let inner = arm(FaultPlan::observe(None));
+            assert!(check("ckpt.sync").is_ok(), "the inner guard's plan decides");
+            assert_eq!(inner.hits(), 1);
+        }
+        assert_eq!(g.hits(), 1, "dropping the inner guard restores the outer plan");
+        drop(g);
+        assert!(check("ckpt.sync").is_ok(), "nothing stays armed after the guard drops");
     }
 
     #[test]

@@ -274,9 +274,8 @@ impl StreamingValmod {
     /// length prefix, checksum, configuration fingerprint, and
     /// structural consistency before rebuilding.
     ///
-    /// `config` supplies the runtime-only settings (threads, pool,
-    /// stage-2 pipelining); its state-affecting fields must match the
-    /// fingerprint in the image.
+    /// `config` supplies the runtime-only settings (threads, pool); its
+    /// state-affecting fields must match the fingerprint in the image.
     ///
     /// # Errors
     ///

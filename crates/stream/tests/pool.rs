@@ -9,13 +9,11 @@
 //! divergence here would be a dispatch bug (lost job, wrong index, stale
 //! slot), exactly the failure modes a queue-reuse bug would produce.
 //!
-//! The second property adds the stage-2 *pipeline* dimension: with the
-//! software pipeline on, each batch run keeps a non-blockingly submitted
-//! advance batch in flight while classification batches run on the same
-//! (shared, reused) pool — so pipeline on/off × thread count must stay
-//! byte-identical even when the pool's queue interleaves pipelined jobs
-//! with streaming appends, and including runs whose MASS fallback forces
-//! the pipeline's drain-and-sync path.
+//! The second property stresses stage 2 on a shared pool: batch runs at
+//! a tiny partial-profile size (so the MASS fallback re-seeds rows at
+//! most lengths) alternate with streaming appends on the same reused
+//! pool, and every thread count must stay byte-identical to a serial
+//! run on a fresh pool.
 
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -127,65 +125,56 @@ proptest! {
     }
 
     #[test]
-    fn pipelined_stage2_on_a_reused_pool_is_byte_identical(
+    fn stage2_on_a_pool_shared_with_appends_is_byte_identical(
         seed in 0u64..100_000,
         p in 1usize..4,
     ) {
         // ECG with a tiny partial-profile size: the lower bounds give out
-        // within a few lengths, so most runs hit the MASS fallback — the
-        // pipeline's drain-and-sync — while the shared pool's queue also
-        // carries streaming-append jobs between the pipelined batches.
+        // within a few lengths, so most runs hit the MASS fallback, while
+        // the shared pool's queue also carries streaming-append jobs
+        // between the batch runs.
         let series = gen::ecg(640, &gen::EcgConfig::default(), seed);
         let shared = Arc::new(WorkerPool::new());
-        let config = |pool: Arc<WorkerPool>, threads: usize, pipelined: bool| {
-            let mut c = ValmodConfig::new(20, 32)
+        let config = |pool: Arc<WorkerPool>, threads: usize| {
+            ValmodConfig::new(20, 32)
                 .with_k(2)
                 .with_profile_size(p)
                 .with_threads(threads)
-                .with_pool(pool);
-            c.stage2_pipeline = pipelined;
-            c
+                .with_pool(pool)
         };
-        let base = run_valmod(&series, &config(Arc::new(WorkerPool::new()), 1, false)).unwrap();
+        let base = run_valmod(&series, &config(Arc::new(WorkerPool::new()), 1)).unwrap();
         let recomputed: usize = base.per_length.iter().map(|r| r.stats.recomputed_rows).sum();
-        let mut stream = StreamingValmod::new(
-            &series[..500],
-            config(Arc::clone(&shared), 2, true),
-        ).unwrap();
+        let mut stream =
+            StreamingValmod::new(&series[..500], config(Arc::clone(&shared), 2)).unwrap();
         for threads in [1usize, 2, 8] {
-            for pipelined in [false, true] {
-                let out =
-                    run_valmod(&series, &config(Arc::clone(&shared), threads, pipelined)).unwrap();
+            let out = run_valmod(&series, &config(Arc::clone(&shared), threads)).unwrap();
+            prop_assert_eq!(
+                batch_bits(&out),
+                batch_bits(&base),
+                "threads={} diverged (recomputed rows in base: {})",
+                threads, recomputed
+            );
+            for (a, b) in out.per_length.iter().zip(&base.per_length) {
                 prop_assert_eq!(
-                    batch_bits(&out),
-                    batch_bits(&base),
-                    "pipelined={} threads={} diverged (recomputed rows in base: {})",
-                    pipelined, threads, recomputed
+                    (a.stats.valid_rows, a.stats.recomputed_rows),
+                    (b.stats.valid_rows, b.stats.recomputed_rows),
+                    "pruning stats diverged at length {} (threads={})",
+                    a.length, threads
                 );
-                for (a, b) in out.per_length.iter().zip(&base.per_length) {
-                    prop_assert_eq!(
-                        (a.stats.valid_rows, a.stats.recomputed_rows),
-                        (b.stats.valid_rows, b.stats.recomputed_rows),
-                        "pruning stats diverged at length {} (pipelined={}, threads={})",
-                        a.length, pipelined, threads
-                    );
-                }
-                // Keep streaming jobs flowing through the same queue the
-                // pipelined advance batches use.
-                if stream.len() < series.len() {
-                    let at = stream.len();
-                    let end = (at + 23).min(series.len());
-                    stream.extend(&series[at..end]);
-                }
+            }
+            // Keep streaming jobs flowing through the same queue the
+            // stage-2 batches use.
+            if stream.len() < series.len() {
+                let at = stream.len();
+                let end = (at + 23).min(series.len());
+                stream.extend(&series[at..end]);
             }
         }
         // The streaming engine's canonical snapshot still matches a batch
-        // run bit for bit after sharing its pool with pipelined stage 2.
+        // run bit for bit after sharing its pool with stage 2.
         let snap = stream.snapshot().unwrap();
-        let direct = run_valmod(
-            stream.series(),
-            &config(Arc::new(WorkerPool::new()), 2, true),
-        ).unwrap();
+        let direct =
+            run_valmod(stream.series(), &config(Arc::new(WorkerPool::new()), 2)).unwrap();
         prop_assert_eq!(batch_bits(&snap), batch_bits(&direct));
     }
 }

@@ -49,16 +49,11 @@
 //!   statistics, classification, MASS recomputation) across the same
 //!   pool; each row's math never depends on the chunking, and the MASS
 //!   fallback reuses one [`ProfileScratch`] per worker so the hot loop
-//!   allocates nothing per row. On top of the chunking, stage 2 runs as a
-//!   **two-stage software pipeline** ([`ValmodConfig::stage2_pipeline`]):
-//!   the dots of length `ℓ+1` are advanced — by the SIMD lanes of
-//!   [`crate::kernel::advance_entry_dots`], into the shadow half of a
-//!   double-buffered [`crate::scratch::DotTable`] — in a non-blockingly
-//!   submitted pool batch that overlaps the classification of length `ℓ`,
-//!   whose state it never touches; the MASS fallback's re-seeding is the
-//!   one dependency between the two, handled by a drain-and-sync. The
-//!   overlapped batch computes exactly what the start-of-step advance
-//!   would, so results stay byte-identical with the pipeline on or off.
+//!   allocates nothing per row. Each length step runs its phases in
+//!   order: the stored dots advance by one point through the SIMD lanes
+//!   of [`crate::kernel::advance_entry_dots`] over a flattened
+//!   [`crate::scratch::DotTable`], then the window statistics, the row
+//!   classification and the recomputation of uncertified rows follow.
 
 use valmod_mp::mass::{DistanceProfiler, ProfileScratch};
 use valmod_mp::motif::top_k_pairs;
@@ -74,7 +69,7 @@ use crate::kernel::{self, Stage1Part};
 use crate::lb::LbRowContext;
 use crate::partial::{PartialRow, TopRhoSelector};
 use crate::query::Quality;
-use crate::scratch::{write_back_dots, RowOutcome, StepScratch};
+use crate::scratch::{RowOutcome, StepScratch};
 use crate::valmap::Valmap;
 
 /// Minimum rows per worker before stage 2 spawns another thread — below
@@ -128,15 +123,15 @@ pub struct StageTimings {
     /// Stage 2: all length steps `ℓmin+1 ..= ℓmax`.
     pub stage2: std::time::Duration,
     /// Stage-2 phase: advancing the stored dot products by one point per
-    /// length (the incremental recurrence the pipeline overlaps).
+    /// length (the incremental recurrence).
     pub stage2_advance: std::time::Duration,
     /// Stage-2 phase: per-window means and standard deviations at the
     /// step's length.
     pub stage2_stats: std::time::Duration,
     /// Stage-2 phase: per-row classification and top-k selection.
     pub stage2_classify: std::time::Duration,
-    /// Stage-2 phase: exact MASS recomputation of uncertified rows (the
-    /// fallback that forces a pipeline drain).
+    /// Stage-2 phase: exact MASS recomputation of uncertified rows (or
+    /// the full STOMP fallback at degenerate lengths).
     pub stage2_recompute: std::time::Duration,
     /// Per-length breakdown of the stage-2 phases, one entry per length
     /// step `ℓmin+1 ..= ℓmax` in ascending order. The aggregate phase
@@ -149,7 +144,7 @@ pub struct StageTimings {
 pub struct StepTimings {
     /// Subsequence length of this step.
     pub length: usize,
-    /// Dot-product advance (incremental recurrence + pipeline drains).
+    /// Dot-product advance (the incremental recurrence).
     pub advance: std::time::Duration,
     /// Per-window means/standard deviations.
     pub stats: std::time::Duration,
@@ -270,6 +265,7 @@ pub fn run_valmod_observed(
     let stage2_started = std::time::Instant::now();
     let mut timings = StageTimings { stage1, ..StageTimings::default() };
     let mut scratch = StepScratch::default();
+    scratch.dots.build(&rows);
     for length in l0 + 1..=config.l_max {
         let result = step_length(
             &values,
@@ -450,11 +446,12 @@ pub(crate) fn flat_stage1_cell(
 }
 
 /// One row re-seeded by the MASS fallback, produced by a worker and
-/// applied serially in row order.
+/// applied serially in row order, with its exact profile minimum.
 struct RecomputedRow {
     i: usize,
     row: PartialRow,
-    outcome: RowOutcome,
+    min_dist: f64,
+    min_j: usize,
 }
 
 /// Splits the dot table's rows `0..row_count` into `workers` contiguous
@@ -492,29 +489,6 @@ fn split_dot_chunks<'a>(
         row = end_row;
     }
     chunks
-}
-
-/// One claimable chunk of the shadow statistics buffers: (first row
-/// index, means slice, stds slice).
-type StatChunk<'a> = std::sync::Mutex<(usize, &'a mut [f64], &'a mut [f64])>;
-
-/// Splits the shadow statistics buffers into per-worker chunks for the
-/// overlapped prefetch of the next length's window statistics. Each
-/// value is an independent prefix-sum read, so any split yields
-/// identical results.
-fn split_stat_chunks<'a>(
-    means: &'a mut [f64],
-    stds: &'a mut [f64],
-    workers: usize,
-) -> Vec<StatChunk<'a>> {
-    debug_assert_eq!(means.len(), stds.len());
-    let chunk_len = means.len().div_ceil(workers.max(1)).max(1);
-    means
-        .chunks_mut(chunk_len)
-        .zip(stds.chunks_mut(chunk_len))
-        .enumerate()
-        .map(|(c, (ms, ss))| std::sync::Mutex::new((c * chunk_len, ms, ss)))
-        .collect()
 }
 
 /// Advances one contiguous chunk of table rows to `target_len`: rows still
@@ -561,33 +535,18 @@ const MIN_ENTRIES_PER_ADVANCE_WORKER: usize = 1 << 15;
 /// One stage-2 length step. Mutates `rows` (incremental dot products and
 /// possible re-seeding) and returns the exact per-length result.
 ///
-/// # The software pipeline
+/// The phases run in order, each chunked across the configuration's
+/// worker pool:
 ///
-/// The step runs as a two-stage pipeline on the configuration's worker
-/// pool (when [`ValmodConfig::stage2_pipeline`] is on and more than one
-/// thread is configured): right after the dots of `length` become
-/// current, a batch advancing them to `length + 1` is *submitted without
-/// blocking* ([`valmod_mp::pool::PoolScope::submit`]) into the shadow
-/// buffer of the double-buffered [`crate::scratch::DotTable`], and the
-/// classification work of `length` (per-row classification, top-k
-/// selection) proceeds concurrently — the advance reads only the current
-/// buffer, classification never writes it, so the two batches share no
-/// mutable state. The next step then just swaps buffers.
+/// 1. **advance** every stored dot product from `length − 1` to `length`;
+/// 2. compute the window **statistics** at `length`;
+/// 3. **classify** each row against its lower bound and select the
+///    tentative top-k from the certified rows;
+/// 4. **recompute** with MASS the rows the bound could not certify below
+///    the k-th distance, re-seeding their partial profiles at `length`.
 ///
-/// The same overlapped batch also *prefetches the window statistics of
-/// `length + 1`*: each advance worker fills its slice of the shadow
-/// means/stds buffers in [`crate::scratch::StepScratch`] with the same
-/// prefix-sum reads the next step would otherwise pay two blocking pool
-/// passes for. Statistics depend only on the immutable series, so the
-/// prefetch survives every fallback below — only the dot shadow is ever
-/// discarded.
-///
-/// The MASS fallback is the one event whose re-seeding invalidates the
-/// shadow: it drains the in-flight batch, recomputes, writes the current
-/// dots back into the rows and rebuilds the table. Results are therefore
-/// **byte-identical with the pipeline on or off** — the overlapped batch
-/// computes exactly the values the start-of-step advance would have, and
-/// it is discarded whenever re-seeding makes them stale.
+/// A length with flat windows replaces phases 3 and 4 by one full STOMP
+/// pass.
 #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
 fn step_length(
     values: &[f64],
@@ -607,26 +566,15 @@ fn step_length(
     let threads = config.threads;
     let pool = config.pool();
     let row_workers = worker_count(threads, m, MIN_ROWS_PER_WORKER);
-    let StepScratch { means, stds, means_next, stds_next, stats_next_for, outcomes, mass, dots } =
-        scratch;
+    let StepScratch { means, stds, outcomes, mass, dots } = scratch;
     let mut step = StepTimings { length, ..StepTimings::default() };
-    // Table entries whose dots this step advances (deferred metrics
-    // flush: accumulated locally, one relaxed add at the end).
-    let mut dot_advances: u64 = 0;
 
-    // ---- Bring the dots of `length` current. ----
-    // Either the previous step's overlapped batch already advanced them
-    // (promote the shadow), or advance synchronously now — same values
-    // either way, by the same kernel.
-    let phase_started = std::time::Instant::now();
-    if !dots.built {
-        dots.build(rows);
-    }
-    let row_count = rows.len();
-    let adv_workers = worker_count(threads, dots.j.len(), MIN_ENTRIES_PER_ADVANCE_WORKER);
-    if !dots.next_ready {
-        dot_advances += dots.j.len() as u64;
-        let chunks = split_dot_chunks(&dots.offsets, &mut dots.qt_next, row_count, adv_workers);
+    // ---- Advance the dots to `length`. ----
+    let advance_started = std::time::Instant::now();
+    let dot_advances = dots.j.len() as u64;
+    {
+        let adv_workers = worker_count(threads, dots.j.len(), MIN_ENTRIES_PER_ADVANCE_WORKER);
+        let chunks = split_dot_chunks(&dots.offsets, &mut dots.qt_next, rows.len(), adv_workers);
         let (offsets, j_flat, qt) = (&dots.offsets, &dots.j, &dots.qt);
         pool.run(chunks.len(), |w| {
             let mut guard = chunks[w].lock().expect("advance chunk lock poisoned");
@@ -634,324 +582,188 @@ fn step_length(
             advance_dot_chunk(offsets, j_flat, qt, values, length, rows_range.clone(), dst);
         });
     }
-    dots.promote_next();
-    let advance_elapsed = phase_started.elapsed();
-    timings.stage2_advance += advance_elapsed;
-    step.advance += advance_elapsed;
+    std::mem::swap(&mut dots.qt, &mut dots.qt_next);
+    step.advance = advance_started.elapsed();
 
     // ---- Window statistics of `length`. ----
-    // Either the previous step's overlapped batch already prefetched them
-    // into the shadow buffers (swap them in), or compute them now — same
-    // values either way: both paths call the same pure prefix-sum reads.
     let stats_started = std::time::Instant::now();
-    if *stats_next_for == length && means_next.len() == m {
-        std::mem::swap(means, means_next);
-        std::mem::swap(stds, stds_next);
+    means.resize(m, 0.0);
+    stds.resize(m, 0.0);
+    pool.for_each_mut(means, row_workers, |i, v| *v = stats.centered_mean(i, length));
+    pool.for_each_mut(stds, row_workers, |i, v| *v = stats.std(i, length));
+    step.stats = stats_started.elapsed();
+
+    if stds.iter().any(|&s| s < FLAT_EPS) {
+        // Degenerate windows break the correlation-rank machinery:
+        // compute this length exactly with (diagonal-parallel) STOMP and
+        // re-seed nothing (stored profiles remain correct for later
+        // lengths, whose dots keep advancing).
+        let recompute_started = std::time::Instant::now();
+        let mp = stomp_parallel_in(values, length, excl, threads, pool)?;
+        let pairs = top_k_pairs(&mp, config.k);
+        step.recompute = recompute_started.elapsed();
+        let result = LengthResult {
+            length,
+            pairs,
+            stats: LengthStats {
+                valid_rows: m,
+                invalid_rows: 0,
+                recomputed_rows: m,
+                min_lb_abs: f64::INFINITY,
+                stomp_fallback: true,
+            },
+        };
+        finish_step(timings, step, dot_advances, &result.stats);
+        return Ok(result);
+    }
+
+    // ---- Classify rows: pure per-row reads, chunked across workers. ----
+    let classify_started = std::time::Instant::now();
+    let (offsets, j_flat, qt) = (&dots.offsets[..], &dots.j[..], &dots.qt[..]);
+    let (means, stds) = (&means[..], &stds[..]);
+    let rows_ref: &[PartialRow] = rows;
+    outcomes.resize(m, RowOutcome::EMPTY);
+    pool.for_each_mut(outcomes, row_workers, |i, out| {
+        let mut min_dist = f64::INFINITY;
+        let mut min_j = usize::MAX;
+        for e in offsets[i]..offsets[i + 1] {
+            let j = j_flat[e] as usize;
+            if j >= m || i.abs_diff(j) <= excl {
+                continue;
+            }
+            let d = zdist_from_dot(qt[e], length, means[i], stds[i], means[j], stds[j]);
+            if d < min_dist {
+                min_dist = d;
+                min_j = j;
+            }
+        }
+        let row = &rows_ref[i];
+        let max_lb = match row.worst_rho() {
+            Some(rho) => LbRowContext::new(stats, i, row.base_len, length).bound(rho),
+            // Untruncated profile: nothing was left unstored, the stored
+            // minimum is the row minimum by construction.
+            None => f64::INFINITY,
+        };
+        let valid = min_dist <= max_lb;
+        *out = RowOutcome { min_dist, min_j, max_lb, valid };
+    });
+
+    let min_lb_abs =
+        outcomes.iter().filter(|o| !o.valid).map(|o| o.max_lb).fold(f64::INFINITY, f64::min);
+    let valid_rows = outcomes.iter().filter(|o| o.valid).count();
+    let invalid_rows = m - valid_rows;
+
+    // Tentative top-k from certified rows.
+    let mut candidates: Vec<MotifPair> = outcomes
+        .iter()
+        .enumerate()
+        .filter(|(_, o)| o.valid && o.min_dist.is_finite())
+        .map(|(i, o)| MotifPair::new(i, o.min_j, o.min_dist, length))
+        .collect();
+    let selection = select_top_k(&candidates, config.k, excl);
+
+    // Certification threshold: with k certified pairs, only rows whose
+    // bound undercuts the k-th distance could still contribute; with
+    // fewer, any non-valid row could.
+    let threshold = if selection.len() == config.k {
+        selection.last().map_or(f64::INFINITY, |p| p.distance)
     } else {
-        means.resize(m, 0.0);
-        stds.resize(m, 0.0);
-        pool.for_each_mut(means, row_workers, |i, v| *v = stats.centered_mean(i, length));
-        pool.for_each_mut(stds, row_workers, |i, v| *v = stats.std(i, length));
-    }
-    *stats_next_for = 0;
-    let stats_elapsed = stats_started.elapsed();
-    timings.stage2_stats += stats_elapsed;
-    step.stats += stats_elapsed;
-
-    // ---- The pipelined step body. ----
-    let pipelined = config.stage2_pipeline && threads > 1 && length < config.l_max;
-    let (result, needs_rebuild) = {
-        let offsets = &dots.offsets[..];
-        let j_flat = &dots.j[..];
-        let qt = &dots.qt[..];
-        let next_ready = &mut dots.next_ready;
-        let adv_chunks = if pipelined {
-            split_dot_chunks(offsets, &mut dots.qt_next, row_count, adv_workers)
-        } else {
-            Vec::new()
-        };
-        // The overlapped batch also prefetches the window statistics of
-        // `length + 1` (satisfying the next step's swap above): resize
-        // the shadow buffers and split them into per-worker slices.
-        let stat_chunks = if pipelined {
-            means_next.resize(m - 1, 0.0);
-            stds_next.resize(m - 1, 0.0);
-            split_stat_chunks(means_next, stds_next, adv_chunks.len())
-        } else {
-            Vec::new()
-        };
-        pool.scope(|scope| -> Result<(LengthResult, bool)> {
-            // Submit the advance to `length + 1` into the shadow buffer;
-            // it overlaps everything below until waited.
-            let mut advance = pipelined.then(|| {
-                dot_advances += j_flat.len() as u64;
-                scope.submit(adv_chunks.len(), |w| {
-                    {
-                        let mut guard = adv_chunks[w].lock().expect("advance chunk lock poisoned");
-                        let (rows_range, dst) = &mut *guard;
-                        advance_dot_chunk(
-                            offsets,
-                            j_flat,
-                            qt,
-                            values,
-                            length + 1,
-                            rows_range.clone(),
-                            dst,
-                        );
-                    }
-                    // Same batch, second duty: prefetch this worker's
-                    // slice of the next length's window statistics.
-                    if let Some(chunk) = stat_chunks.get(w) {
-                        let mut guard = chunk.lock().expect("stats chunk lock poisoned");
-                        let (start, ms, ss) = &mut *guard;
-                        for (off, (mv, sv)) in ms.iter_mut().zip(ss.iter_mut()).enumerate() {
-                            let i = *start + off;
-                            *mv = stats.centered_mean(i, length + 1);
-                            *sv = stats.std(i, length + 1);
-                        }
-                    }
-                })
-            });
-            let (means, stds) = (&means[..], &stds[..]);
-
-            if stds.iter().any(|&s| s < FLAT_EPS) {
-                // Degenerate windows break the correlation-rank machinery:
-                // compute this length exactly with (diagonal-parallel)
-                // STOMP and re-seed nothing (stored profiles remain
-                // correct for later lengths). The overlapped advance stays
-                // valid — it never depended on this length's statistics.
-                let drain_started = std::time::Instant::now();
-                if let Some(handle) = advance.take() {
-                    handle.wait();
-                    *next_ready = true;
-                }
-                let drain_elapsed = drain_started.elapsed();
-                timings.stage2_advance += drain_elapsed;
-                step.advance += drain_elapsed;
-                let recompute_started = std::time::Instant::now();
-                let mp = stomp_parallel_in(values, length, excl, threads, pool)?;
-                let pairs = top_k_pairs(&mp, config.k);
-                let recompute_elapsed = recompute_started.elapsed();
-                timings.stage2_recompute += recompute_elapsed;
-                step.recompute += recompute_elapsed;
-                return Ok((
-                    LengthResult {
-                        length,
-                        pairs,
-                        stats: LengthStats {
-                            valid_rows: m,
-                            invalid_rows: 0,
-                            recomputed_rows: m,
-                            min_lb_abs: f64::INFINITY,
-                            stomp_fallback: true,
-                        },
-                    },
-                    false,
-                ));
-            }
-
-            // Classify rows — pure per-row reads of the current dot
-            // buffer, chunked across workers (concurrently with the
-            // in-flight advance batch, which only writes the shadow).
-            let classify_started = std::time::Instant::now();
-            let rows_ref: &[PartialRow] = rows;
-            outcomes.resize(m, RowOutcome::EMPTY);
-            pool.for_each_mut(outcomes, row_workers, |i, out| {
-                let mut min_dist = f64::INFINITY;
-                let mut min_j = usize::MAX;
-                for e in offsets[i]..offsets[i + 1] {
-                    let j = j_flat[e] as usize;
-                    if j >= m || i.abs_diff(j) <= excl {
-                        continue;
-                    }
-                    let d = zdist_from_dot(qt[e], length, means[i], stds[i], means[j], stds[j]);
-                    if d < min_dist {
-                        min_dist = d;
-                        min_j = j;
-                    }
-                }
-                let row = &rows_ref[i];
-                let max_lb = match row.worst_rho() {
-                    Some(rho) => LbRowContext::new(stats, i, row.base_len, length).bound(rho),
-                    // Untruncated profile: nothing was left unstored, the
-                    // stored minimum is the row minimum by construction.
-                    None => f64::INFINITY,
-                };
-                let valid = min_dist <= max_lb;
-                *out = RowOutcome { min_dist, min_j, max_lb, valid };
-            });
-
-            let min_lb_abs = outcomes
-                .iter()
-                .filter(|o| !o.valid)
-                .map(|o| o.max_lb)
-                .fold(f64::INFINITY, f64::min);
-            let valid_rows = outcomes.iter().filter(|o| o.valid).count();
-            let invalid_rows = m - valid_rows;
-
-            // Tentative top-k from certified rows.
-            let mut candidates: Vec<MotifPair> = outcomes
-                .iter()
-                .enumerate()
-                .filter(|(_, o)| o.valid && o.min_dist.is_finite())
-                .map(|(i, o)| MotifPair::new(i, o.min_j, o.min_dist, length))
-                .collect();
-            let selection = select_top_k(&candidates, config.k, excl);
-
-            // Certification threshold: with k certified pairs, only rows
-            // whose bound undercuts the k-th distance could still
-            // contribute; with fewer, any non-valid row could.
-            let threshold = if selection.len() == config.k {
-                selection.last().map_or(f64::INFINITY, |p| p.distance)
-            } else {
-                f64::INFINITY
-            };
-            let classify_elapsed = classify_started.elapsed();
-            timings.stage2_classify += classify_elapsed;
-            step.classify += classify_elapsed;
-
-            let recompute_started = std::time::Instant::now();
-            let mut recomputed_rows = 0;
-            let mut needs_rebuild = false;
-            if threshold >= min_lb_abs {
-                // Fallback: exact MASS recomputation of every row the
-                // bound could not certify below the threshold, then
-                // re-seed those partial profiles at the current length.
-                // Re-seeding changes row shapes, so this is the pipeline's
-                // drain-and-sync point: the in-flight advance is joined
-                // and its shadow discarded (stale for re-seeded rows).
-                let todo: Vec<usize> = (0..m)
-                    .filter(|&i| !outcomes[i].valid && outcomes[i].max_lb < threshold)
-                    .collect();
-                recomputed_rows = todo.len();
-                if !todo.is_empty() {
-                    // Drain-and-sync: the shadow stays stale (`next_ready`
-                    // remains false) and is rebuilt after re-seeding.
-                    if let Some(handle) = advance.take() {
-                        handle.wait();
-                    }
-                    let workers = worker_count(threads, todo.len(), 1);
-                    while mass.len() < workers {
-                        mass.push(profiler.scratch());
-                    }
-                    let chunk_len = todo.len().div_ceil(workers);
-                    let recompute_chunk = |chunk: &[usize], ms: &mut ProfileScratch| {
-                        chunk
-                            .iter()
-                            .map(|&i| {
-                                let profile = profiler.self_profile_into(i, length, ms)?;
-                                // A row that needed recomputation is a
-                                // *competitive* row (its neighborhood keeps
-                                // improving); give it a progressively larger
-                                // partial profile so it stops defeating the
-                                // bound. Capacity doubles per recomputation,
-                                // capped to bound memory.
-                                let capacity = (rows_ref[i].entries.len() * 2)
-                                    .clamp(config.profile_size, config.profile_size.max(256));
-                                let (row, min_dist, min_j) = reseed_row_from_profile(
-                                    i, excl, length, profile, means, stds, capacity,
-                                );
-                                Ok(RecomputedRow {
-                                    i,
-                                    row,
-                                    outcome: RowOutcome {
-                                        min_dist,
-                                        min_j,
-                                        max_lb: f64::INFINITY,
-                                        valid: true,
-                                    },
-                                })
-                            })
-                            .collect::<Result<Vec<RecomputedRow>>>()
-                    };
-                    let results: Vec<Result<Vec<RecomputedRow>>> = if workers <= 1 {
-                        vec![recompute_chunk(&todo, &mut mass[0])]
-                    } else {
-                        // Pool workers take their chunk's scratch through a
-                        // Mutex (one uncontended acquisition per chunk per
-                        // length step).
-                        let chunks: Vec<&[usize]> = todo.chunks(chunk_len).collect();
-                        let scratches: Vec<std::sync::Mutex<&mut ProfileScratch>> =
-                            mass.iter_mut().take(chunks.len()).map(std::sync::Mutex::new).collect();
-                        pool.run(chunks.len(), |w| {
-                            let mut ms = scratches[w].lock().expect("scratch lock poisoned");
-                            recompute_chunk(chunks[w], &mut ms)
-                        })
-                    };
-                    // The untouched rows' entries must carry the current
-                    // dots before the table is rebuilt from the rows.
-                    write_back_dots(offsets, qt, rows);
-                    needs_rebuild = true;
-                    // Contiguous chunks of an ascending `todo` concatenate
-                    // back in ascending row order — the same order the
-                    // serial loop used.
-                    for chunk in results {
-                        for r in chunk? {
-                            rows[r.i] = r.row;
-                            outcomes[r.i] = r.outcome;
-                            if r.outcome.min_j != usize::MAX {
-                                candidates.push(MotifPair::new(
-                                    r.i,
-                                    r.outcome.min_j,
-                                    r.outcome.min_dist,
-                                    length,
-                                ));
-                            }
-                        }
-                    }
-                }
-            }
-
-            let pairs = if recomputed_rows > 0 {
-                select_top_k(&candidates, config.k, excl)
-            } else {
-                selection
-            };
-            let recompute_elapsed = recompute_started.elapsed();
-            timings.stage2_recompute += recompute_elapsed;
-            step.recompute += recompute_elapsed;
-
-            // No re-seed happened: the overlapped advance (if any) is
-            // valid — join it and promote at the next step.
-            let drain_started = std::time::Instant::now();
-            if let Some(handle) = advance.take() {
-                handle.wait();
-                *next_ready = !needs_rebuild;
-            }
-            let drain_elapsed = drain_started.elapsed();
-            timings.stage2_advance += drain_elapsed;
-            step.advance += drain_elapsed;
-
-            Ok((
-                LengthResult {
-                    length,
-                    pairs,
-                    stats: LengthStats {
-                        valid_rows,
-                        invalid_rows,
-                        recomputed_rows,
-                        min_lb_abs,
-                        stomp_fallback: false,
-                    },
-                },
-                needs_rebuild,
-            ))
-        })?
+        f64::INFINITY
     };
-    if pipelined {
-        // Every exit path of the scope joins the overlapped batch, so the
-        // shadow statistics are complete. They depend only on the
-        // immutable prefix sums — valid even when the *dot* shadow was
-        // discarded by a re-seed or superseded by the STOMP fallback.
-        *stats_next_for = length + 1;
-    }
-    if needs_rebuild {
-        dots.build(rows);
-    }
-    timings.per_length.push(step);
+    step.classify = classify_started.elapsed();
 
-    // Metrics flush — one relaxed add per counter per length step.
-    let s = result.stats;
+    // ---- Recompute what the bound could not certify. ----
+    // Exact MASS recomputation of every row the bound could not certify
+    // below the threshold, then re-seed those partial profiles at the
+    // current length.
+    let recompute_started = std::time::Instant::now();
+    let todo: Vec<usize> = if threshold >= min_lb_abs {
+        (0..m).filter(|&i| !outcomes[i].valid && outcomes[i].max_lb < threshold).collect()
+    } else {
+        Vec::new()
+    };
+    let recomputed_rows = todo.len();
+    let pairs = if todo.is_empty() {
+        selection
+    } else {
+        let workers = worker_count(threads, todo.len(), 1);
+        while mass.len() < workers {
+            mass.push(profiler.scratch());
+        }
+        let chunk_len = todo.len().div_ceil(workers);
+        let recompute_chunk = |chunk: &[usize], ms: &mut ProfileScratch| {
+            chunk
+                .iter()
+                .map(|&i| {
+                    let profile = profiler.self_profile_into(i, length, ms)?;
+                    // A row that needed recomputation is a *competitive*
+                    // row (its neighborhood keeps improving); give it a
+                    // progressively larger partial profile so it stops
+                    // defeating the bound. Capacity doubles per
+                    // recomputation, capped to bound memory.
+                    let capacity = (rows_ref[i].entries.len() * 2)
+                        .clamp(config.profile_size, config.profile_size.max(256));
+                    let (row, min_dist, min_j) =
+                        reseed_row_from_profile(i, excl, length, profile, means, stds, capacity);
+                    Ok(RecomputedRow { i, row, min_dist, min_j })
+                })
+                .collect::<Result<Vec<RecomputedRow>>>()
+        };
+        let results: Vec<Result<Vec<RecomputedRow>>> = if workers <= 1 {
+            vec![recompute_chunk(&todo, &mut mass[0])]
+        } else {
+            // Pool workers take their chunk's scratch through a Mutex (one
+            // uncontended acquisition per chunk per length step).
+            let chunks: Vec<&[usize]> = todo.chunks(chunk_len).collect();
+            let scratches: Vec<std::sync::Mutex<&mut ProfileScratch>> =
+                mass.iter_mut().take(chunks.len()).map(std::sync::Mutex::new).collect();
+            pool.run(chunks.len(), |w| {
+                let mut ms = scratches[w].lock().expect("scratch lock poisoned");
+                recompute_chunk(chunks[w], &mut ms)
+            })
+        };
+        // The untouched rows' entries must carry the current dots before
+        // the table is rebuilt from the re-seeded rows.
+        dots.write_back(rows);
+        // Contiguous chunks of an ascending `todo` concatenate back in
+        // ascending row order — the same order the serial loop used.
+        for chunk in results {
+            for r in chunk? {
+                rows[r.i] = r.row;
+                if r.min_j != usize::MAX {
+                    candidates.push(MotifPair::new(r.i, r.min_j, r.min_dist, length));
+                }
+            }
+        }
+        dots.build(rows);
+        select_top_k(&candidates, config.k, excl)
+    };
+    step.recompute = recompute_started.elapsed();
+
+    let result = LengthResult {
+        length,
+        pairs,
+        stats: LengthStats {
+            valid_rows,
+            invalid_rows,
+            recomputed_rows,
+            min_lb_abs,
+            stomp_fallback: false,
+        },
+    };
+    finish_step(timings, step, dot_advances, &result.stats);
+    Ok(result)
+}
+
+/// Closes one length step: adds its phase timings to the run's totals and
+/// per-length table, and flushes its metrics (one relaxed add per counter
+/// per length step).
+fn finish_step(timings: &mut StageTimings, step: StepTimings, dot_advances: u64, s: &LengthStats) {
+    timings.stage2_advance += step.advance;
+    timings.stage2_stats += step.stats;
+    timings.stage2_classify += step.classify;
+    timings.stage2_recompute += step.recompute;
+    timings.per_length.push(step);
     obs::count!(stage2_lengths, 1);
     obs::count!(stage2_dot_advances, dot_advances);
     obs::count!(stage2_valid_rows, s.valid_rows as u64);
@@ -960,7 +772,6 @@ fn step_length(
     if s.stomp_fallback {
         obs::count!(stage2_stomp_fallback, 1);
     }
-    Ok(result)
 }
 
 /// Re-seeds one recomputed row's partial profile from its exact MASS

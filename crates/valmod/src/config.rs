@@ -41,16 +41,6 @@ pub struct ValmodConfig {
     /// value** — the engine's merges are partition-independent — so this
     /// is purely a performance knob.
     pub threads: usize,
-    /// Whether stage 2 overlaps each length's dot-product advance with the
-    /// previous length's classification on the worker pool (see
-    /// `algo::step_length`). On by default; engages only with more than
-    /// one thread (a 1-thread configuration stays fully serial). Results
-    /// are **byte-identical on or off** — the overlapped batch computes
-    /// exactly what the start-of-step advance would, and is discarded
-    /// whenever a MASS re-seed makes it stale — so this is purely a
-    /// performance knob (and a CI dimension: the equality suites run both
-    /// ways).
-    pub stage2_pipeline: bool,
     /// Execution quality tier (see [`Quality`]). `Exact` and `Anytime`
     /// produce byte-identical outputs — anytime merely streams VALMAP
     /// previews while stage 1 converges — and code paths that need a full
@@ -77,39 +67,19 @@ impl PartialEq for ValmodConfig {
     fn eq(&self, other: &Self) -> bool {
         // Exhaustive destructuring: adding a field to the struct fails to
         // compile here until equality explicitly includes or excludes it.
-        let Self {
-            l_min,
-            l_max,
-            k,
-            profile_size,
-            exclusion_den,
-            threads,
-            stage2_pipeline,
-            quality,
-            seed,
-            pool: _,
-        } = self;
-        (
-            *l_min,
-            *l_max,
-            *k,
-            *profile_size,
-            *exclusion_den,
-            *threads,
-            *stage2_pipeline,
-            *quality,
-            *seed,
-        ) == (
-            other.l_min,
-            other.l_max,
-            other.k,
-            other.profile_size,
-            other.exclusion_den,
-            other.threads,
-            other.stage2_pipeline,
-            other.quality,
-            other.seed,
-        )
+        let Self { l_min, l_max, k, profile_size, exclusion_den, threads, quality, seed, pool: _ } =
+            self;
+        (*l_min, *l_max, *k, *profile_size, *exclusion_den, *threads, *quality, *seed)
+            == (
+                other.l_min,
+                other.l_max,
+                other.k,
+                other.profile_size,
+                other.exclusion_den,
+                other.threads,
+                other.quality,
+                other.seed,
+            )
     }
 }
 
@@ -128,7 +98,6 @@ impl ValmodConfig {
             profile_size: 8,
             exclusion_den: 4,
             threads,
-            stage2_pipeline: true,
             quality: Quality::Exact,
             seed: 0,
             pool: None,
@@ -149,31 +118,11 @@ impl ValmodConfig {
         self
     }
 
-    /// Sets the exclusion-zone denominator (`⌈ℓ/den⌉`).
-    #[deprecated(note = "use the `Query` builder (`valmod_core::Query::exclusion_den`) or set \
-                         the public `exclusion_den` field directly")]
-    #[must_use]
-    pub fn with_exclusion_den(mut self, den: usize) -> Self {
-        self.exclusion_den = den;
-        self
-    }
-
     /// Sets the worker-thread count (clamped to at least 1). `1` forces
     /// the fully serial path.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Enables or disables the stage-2 software pipeline (see the
-    /// [`ValmodConfig::stage2_pipeline`] field docs; results are identical
-    /// either way).
-    #[deprecated(note = "use the `Query` builder (`valmod_core::Query::pipeline`) or set the \
-                         public `stage2_pipeline` field directly")]
-    #[must_use]
-    pub fn with_stage2_pipeline(mut self, pipelined: bool) -> Self {
-        self.stage2_pipeline = pipelined;
         self
     }
 
@@ -265,16 +214,6 @@ mod tests {
         assert_eq!((c.k, c.profile_size, c.exclusion(8), c.threads), (3, 4, 4, 6));
         // Zero threads clamps to the serial path rather than erroring.
         assert_eq!(ValmodConfig::new(8, 16).with_threads(0).threads, 1);
-    }
-
-    /// The deprecated shims still compile and behave — downstream code
-    /// gets one release of warning, not breakage.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_still_work() {
-        let c = ValmodConfig::new(8, 16).with_exclusion_den(2).with_stage2_pipeline(false);
-        assert_eq!(c.exclusion(8), 4);
-        assert!(!c.stage2_pipeline);
     }
 
     #[test]

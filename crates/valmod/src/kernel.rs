@@ -1,7 +1,7 @@
 //! The SIMD kernels of the suite: the register-tiled stage-1 diagonal
 //! walk (a width-generic, FMA-based rewrite of VALMOD's hottest loop)
 //! plus the shared dot-product *advance* lanes — [`advance_entry_dots`]
-//! for the pipelined stage-2 length steps, and [`advance_dots_extend`] /
+//! for the stage-2 length steps, and [`advance_dots_extend`] /
 //! [`advance_dots_append`], the same recurrence machinery reused by the
 //! streaming engine's per-append shifts. Every kernel body is written
 //! **once** against [`valmod_fft::simd::F64Lanes`] and instantiated at
@@ -834,8 +834,8 @@ fn process_cell(ctx: &Ctx<'_>, i: usize, j: usize, qt: f64, state: &mut WalkStat
 /// and `limit` is the window count at `ℓ+1` (entries whose candidate no
 /// longer fits keep their last dot, exactly as the scalar per-entry loop
 /// left them). `src` and `dst` may be the same buffer contents-wise but
-/// must be distinct slices (the double-buffered stage-2 scratch always
-/// passes the shadow as `dst`).
+/// must be distinct slices (the stage-2 dot table passes its second
+/// buffer as `dst`).
 ///
 /// The packed paths run `W` entries per iteration (W=4 under AVX2, W=8
 /// under AVX-512, one shared driver): the `j` guard becomes an unsigned

@@ -188,14 +188,6 @@ impl Query {
         self
     }
 
-    /// Enables or disables the stage-2 software pipeline (results are
-    /// byte-identical either way — a pure performance knob).
-    #[must_use]
-    pub fn pipeline(mut self, pipelined: bool) -> Self {
-        self.config.stage2_pipeline = pipelined;
-        self
-    }
-
     /// Dispatches every parallel phase to `pool` instead of the
     /// process-wide global pool.
     #[must_use]

@@ -1,6 +1,5 @@
 //! Stage-2 working state: per-run buffers recycled across length steps,
-//! including the double-buffered flattened dot-product table that makes
-//! the two-stage software pipeline possible.
+//! including the flattened dot-product table every step advances.
 //!
 //! # Why a flattened table
 //!
@@ -10,13 +9,9 @@
 //! every row once per length. [`DotTable`] keeps the same data in
 //! structure-of-arrays form (`offsets`/`j`/`qt`), so the advance is one
 //! contiguous sweep the SIMD kernel
-//! ([`crate::kernel::advance_entry_dots`]) can chew through, and — the
-//! pipelining point — **double-buffered**: while classification of length
-//! `ℓ` reads `qt`, a concurrently submitted batch writes the dots of
-//! `ℓ+1` into `qt_next`. The two stages share no mutable state, so they
-//! overlap on the worker pool without locks; a MASS re-seed (which
-//! replaces whole rows) is the one event that invalidates the shadow and
-//! forces the drain-and-rebuild below.
+//! ([`crate::kernel::advance_entry_dots`]) can chew through. The kernel
+//! reads one slice and writes another, so the table keeps a second dot
+//! buffer (`qt_next`) that each advance fills and then swaps in.
 //!
 //! The table is authoritative for dot values during stage 2; the `qt`
 //! fields inside the rows' entries are only synchronized back
@@ -41,7 +36,7 @@ impl RowOutcome {
         Self { min_dist: f64::INFINITY, min_j: usize::MAX, max_lb: f64::INFINITY, valid: true };
 }
 
-/// The flattened, double-buffered dot-product store (see module docs).
+/// The flattened dot-product store (see module docs).
 #[derive(Debug, Default)]
 pub(crate) struct DotTable {
     /// Row `i`'s entries occupy `offsets[i]..offsets[i + 1]`.
@@ -50,18 +45,13 @@ pub(crate) struct DotTable {
     pub j: Vec<u32>,
     /// Current dot products (valid for the length last advanced to).
     pub qt: Vec<f64>,
-    /// Shadow buffer the next length's dots are advanced into.
+    /// The advance's destination, swapped with `qt` after each advance.
     pub qt_next: Vec<f64>,
-    /// Whether `qt_next` already holds the dots of the *next* length
-    /// (set when a pipelined advance batch was drained successfully).
-    pub next_ready: bool,
-    /// Whether the table has been built from the rows at all.
-    pub built: bool,
 }
 
 impl DotTable {
     /// (Re)builds the table from the rows' entries — at stage-2 entry and
-    /// after a MASS re-seed changed row shapes. Invalidates the shadow.
+    /// after a MASS re-seed changed row shapes.
     pub(crate) fn build(&mut self, rows: &[PartialRow]) {
         let total: usize = rows.iter().map(|r| r.entries.len()).sum();
         self.offsets.clear();
@@ -80,54 +70,27 @@ impl DotTable {
         }
         self.qt_next.clear();
         self.qt_next.resize(total, 0.0);
-        self.next_ready = false;
-        self.built = true;
     }
 
-    /// Promotes the shadow buffer to current (the cheap half of a
-    /// pipelined length step).
-    pub(crate) fn promote_next(&mut self) {
-        std::mem::swap(&mut self.qt, &mut self.qt_next);
-        self.next_ready = false;
-    }
-}
-
-/// Writes the table's current dot products back into the rows' entries,
-/// so a rebuild after re-seeding sees every untouched row's dots exactly
-/// where the pre-table code kept them. Free-standing (rather than a
-/// `DotTable` method) because it runs while the table's buffers are
-/// split-borrowed by an in-flight advance batch — only `offsets` and `qt`
-/// are needed, both shared.
-pub(crate) fn write_back_dots(offsets: &[usize], qt: &[f64], rows: &mut [PartialRow]) {
-    for (i, row) in rows.iter_mut().enumerate() {
-        let segment = &qt[offsets[i]..offsets[i + 1]];
-        for (e, &dot) in row.entries.iter_mut().zip(segment) {
-            e.qt = dot;
+    /// Writes the current dot products back into the rows' entries, so a
+    /// rebuild after re-seeding sees every untouched row's dots exactly
+    /// where the pre-table code kept them.
+    pub(crate) fn write_back(&self, rows: &mut [PartialRow]) {
+        for (i, row) in rows.iter_mut().enumerate() {
+            let segment = &self.qt[self.offsets[i]..self.offsets[i + 1]];
+            for (e, &dot) in row.entries.iter_mut().zip(segment) {
+                e.qt = dot;
+            }
         }
     }
 }
 
 /// Stage-2 buffers allocated once per run and recycled across length
 /// steps; `mass` holds one MASS scratch per recomputation worker.
-///
-/// The window statistics are double-buffered like the dot table: the
-/// overlapped advance batch of length `ℓ` also prefetches the means and
-/// standard deviations of `ℓ+1` into the shadow buffers, and the next
-/// step swaps them in instead of paying two pool passes. Unlike the dot
-/// shadow, the statistics read only the immutable prefix sums — no
-/// re-seed or fallback ever invalidates them, so `stats_next_for` is the
-/// sole validity condition.
 #[derive(Default)]
 pub(crate) struct StepScratch {
     pub means: Vec<f64>,
     pub stds: Vec<f64>,
-    /// Shadow buffers the next length's window statistics are prefetched
-    /// into by the overlapped stage-2 batch.
-    pub means_next: Vec<f64>,
-    pub stds_next: Vec<f64>,
-    /// The length `means_next`/`stds_next` currently hold statistics for
-    /// (0 = nothing prefetched).
-    pub stats_next_for: usize,
     pub outcomes: Vec<RowOutcome>,
     pub mass: Vec<ProfileScratch>,
     pub dots: DotTable,
@@ -156,8 +119,6 @@ mod tests {
         assert_eq!(table.j, vec![3, 5, 0]);
         assert_eq!(table.qt, vec![1.0, 2.0, 3.0]);
         assert_eq!(table.qt_next.len(), 3);
-        assert!(table.built);
-        assert!(!table.next_ready);
     }
 
     #[test]
@@ -166,7 +127,7 @@ mod tests {
         let mut table = DotTable::default();
         table.build(&rows);
         table.qt.copy_from_slice(&[10.0, 20.0, 40.0]);
-        write_back_dots(&table.offsets, &table.qt, &mut rows);
+        table.write_back(&mut rows);
         assert_eq!(rows[0].entries[0].qt, 10.0);
         assert_eq!(rows[0].entries[1].qt, 20.0);
         assert_eq!(rows[1].entries[0].qt, 40.0);
@@ -174,17 +135,5 @@ mod tests {
         rebuilt.build(&rows);
         assert_eq!(rebuilt.qt, table.qt);
         assert_eq!(rebuilt.j, table.j);
-    }
-
-    #[test]
-    fn promote_swaps_the_shadow_in() {
-        let rows = vec![row(8, &[(3, 0.9, 1.0)])];
-        let mut table = DotTable::default();
-        table.build(&rows);
-        table.qt_next[0] = 7.5;
-        table.next_ready = true;
-        table.promote_next();
-        assert_eq!(table.qt, vec![7.5]);
-        assert!(!table.next_ready);
     }
 }

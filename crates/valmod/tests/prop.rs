@@ -90,21 +90,35 @@ proptest! {
 
     /// Thread-count invariance: the parallel engine's merges are
     /// partition-independent, so every thread count must produce
-    /// *byte-identical* per-length distances, pair offsets, and VALMAP
-    /// entries — not merely close ones.
+    /// *byte-identical* per-length distances, pair offsets, pruning
+    /// statistics, and VALMAP entries — not merely close ones.
+    /// `profile_size` is drawn small so the MASS fallback fires in most
+    /// cases, and the plateau series drives the STOMP fallback, so both
+    /// recomputation paths are covered, not just the happy path.
     #[test]
-    fn thread_count_never_changes_results(seed in 0u64..100_000, kind in 0usize..3) {
+    fn thread_count_never_changes_results(
+        seed in 0u64..100_000,
+        kind in 0usize..4,
+        p in 1usize..5,
+    ) {
         let series = match kind {
             0 => gen::random_walk(700, seed),
             1 => gen::ecg(700, &gen::EcgConfig::default(), seed),
-            _ => {
+            2 => {
                 let pattern: Vec<f64> = (0..32)
                     .map(|i| (i as f64 / 32.0 * std::f64::consts::TAU * 2.0).sin())
                     .collect();
                 gen::planted_pair(700, &pattern, &[100, 460], 0.02, seed).0
             }
+            _ => {
+                let mut s = gen::white_noise(700, seed, 1.0);
+                for v in &mut s[250..330] {
+                    *v = 1.0; // plateau: every length takes the STOMP fallback
+                }
+                s
+            }
         };
-        let config = ValmodConfig::new(20, 30).with_k(3).with_profile_size(4).with_threads(1);
+        let config = ValmodConfig::new(18, 30).with_k(3).with_profile_size(p).with_threads(1);
         let base = run_valmod(&series, &config).unwrap();
         for threads in [2usize, 3, 8] {
             let out = run_valmod(&series, &config.clone().with_threads(threads)).unwrap();
@@ -122,6 +136,24 @@ proptest! {
                         "pair differs at length {} with {} threads", a.length, threads
                     );
                 }
+                let (sa, sb) = (&a.stats, &b.stats);
+                prop_assert_eq!(
+                    (
+                        sa.valid_rows,
+                        sa.invalid_rows,
+                        sa.recomputed_rows,
+                        sa.min_lb_abs.to_bits(),
+                        sa.stomp_fallback,
+                    ),
+                    (
+                        sb.valid_rows,
+                        sb.invalid_rows,
+                        sb.recomputed_rows,
+                        sb.min_lb_abs.to_bits(),
+                        sb.stomp_fallback,
+                    ),
+                    "pruning stats differ at length {} with {} threads", a.length, threads
+                );
             }
             // VALMAP entries must also match bit for bit.
             prop_assert_eq!(out.valmap.ip, base.valmap.ip.clone());
@@ -132,12 +164,13 @@ proptest! {
         }
     }
 
-    /// Pipeline invariance: the stage-2 software pipeline (overlapped
-    /// dot-advance on the worker pool) must be a pure scheduling change —
-    /// pipeline on and off produce *byte-identical* pairs and VALMAP for
-    /// every thread count. `profile_size` is drawn small so the MASS
-    /// fallback (the pipeline's drain-and-sync path) fires in most cases,
-    /// not just the happy path.
+    /// Stage-2 exactness: the per-length step that derives length ℓ+1
+    /// from ℓ (dot advance, lower-bound classification, MASS recompute
+    /// and re-seed, STOMP fallback at flat lengths) must never change
+    /// results — at every thread count its top-k pairs equal a plain
+    /// STOMP run at that length. `profile_size` is drawn small so the
+    /// MASS fallback fires in most cases, and the plateau series drives
+    /// the STOMP fallback, not just the happy path.
     #[test]
     fn stage2_pipeline_never_changes_results(
         seed in 0u64..100_000,
@@ -150,57 +183,33 @@ proptest! {
             _ => {
                 let mut s = gen::white_noise(700, seed, 1.0);
                 for v in &mut s[250..330] {
-                    *v = 1.0; // plateau: the STOMP-fallback path drains too
+                    *v = 1.0; // plateau: every length takes the STOMP fallback
                 }
                 s
             }
         };
         let config = ValmodConfig::new(18, 30).with_k(3).with_profile_size(p);
-        let base = run_valmod(
-            &series,
-            &valmod_core::Query::from_config(config.clone())
-                .threads(1)
-                .pipeline(false)
-                .into_config(),
-        )
-        .unwrap();
+        let reference: Vec<_> = (config.l_min..=config.l_max)
+            .map(|l| {
+                let mp = valmod_mp::stomp::stomp(&series, l, config.exclusion(l)).unwrap();
+                valmod_mp::motif::top_k_pairs(&mp, config.k)
+            })
+            .collect();
         for threads in [1usize, 2, 8] {
-            for pipelined in [false, true] {
-                let out = run_valmod(
-                    &series,
-                    &valmod_core::Query::from_config(config.clone())
-                        .threads(threads)
-                        .pipeline(pipelined)
-                        .into_config(),
-                )
-                .unwrap();
-                for (a, b) in out.per_length.iter().zip(&base.per_length) {
-                    prop_assert_eq!(
-                        a.pairs.len(), b.pairs.len(),
-                        "pair count at length {} (threads={}, pipeline={})",
-                        a.length, threads, pipelined
-                    );
-                    for (pa, pb) in a.pairs.iter().zip(&b.pairs) {
-                        prop_assert_eq!(
-                            (pa.a, pa.b, pa.distance.to_bits()),
-                            (pb.a, pb.b, pb.distance.to_bits()),
-                            "pair differs at length {} (threads={}, pipeline={})",
-                            a.length, threads, pipelined
-                        );
-                    }
-                    prop_assert_eq!(
-                        (a.stats.valid_rows, a.stats.recomputed_rows, a.stats.stomp_fallback),
-                        (b.stats.valid_rows, b.stats.recomputed_rows, b.stats.stomp_fallback),
-                        "pruning stats differ at length {} (threads={}, pipeline={})",
-                        a.length, threads, pipelined
+            let out = run_valmod(&series, &config.clone().with_threads(threads)).unwrap();
+            prop_assert_eq!(out.per_length.len(), reference.len());
+            for (r, want) in out.per_length.iter().zip(&reference) {
+                prop_assert_eq!(
+                    r.pairs.len(), want.len(),
+                    "pair count at length {} with {} threads", r.length, threads
+                );
+                for (got, exp) in r.pairs.iter().zip(want) {
+                    // Offsets can differ between ties; distances must agree.
+                    prop_assert!(
+                        (got.distance - exp.distance).abs() < 1e-6,
+                        "length {} with {} threads: {:?} vs {:?}", r.length, threads, got, exp
                     );
                 }
-                let mpn_bits: Vec<u64> = out.valmap.mpn.iter().map(|v| v.to_bits()).collect();
-                let base_bits: Vec<u64> = base.valmap.mpn.iter().map(|v| v.to_bits()).collect();
-                prop_assert_eq!(
-                    mpn_bits, base_bits,
-                    "VALMAP differs (threads={}, pipeline={})", threads, pipelined
-                );
             }
         }
     }
